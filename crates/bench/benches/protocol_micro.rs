@@ -109,6 +109,46 @@ fn bench_cdg(c: &mut Criterion) {
             ))
         })
     });
+    // One PRECEDENCE carrying `n` in-flight guesses into a graph that
+    // already holds their transitively closed chain (n²/2 edges), then the
+    // new guess resolves: the replicated-KV steady state.
+    for n in [64u32, 256] {
+        let (mut cdg, xs) = closed_chain(n);
+        let next = GuessId::first(ProcessId(9), n);
+        c.bench_function(&format!("cdg/precedence_{n}"), |b| {
+            b.iter(|| {
+                let outcome = cdg.add_edges_into(black_box(&xs), next);
+                cdg.remove(next);
+                outcome
+            })
+        });
+    }
+    // Build a 128-guess closed chain by PRECEDENCE, then commit it oldest
+    // first, querying predecessors as `ProcessCore::on_commit` does.
+    c.bench_function("cdg/commit_drain", |b| {
+        b.iter(|| {
+            let (mut cdg, xs) = closed_chain(128);
+            for &x in &xs {
+                black_box(cdg.predecessors(x));
+                cdg.remove(x);
+            }
+            cdg
+        })
+    });
+}
+
+/// A CDG holding `n` guesses where each precedes every later one, built
+/// one PRECEDENCE per guess.
+fn closed_chain(n: u32) -> (Cdg, Vec<GuessId>) {
+    let xs: Vec<GuessId> = (0..n)
+        .map(|i| GuessId::first(ProcessId(i % 8), i))
+        .collect();
+    let mut cdg = Cdg::new();
+    cdg.add_node(xs[0]);
+    for i in 1..xs.len() {
+        cdg.add_edges_into(&xs[..i], xs[i]);
+    }
+    (cdg, xs)
 }
 
 criterion_group!(

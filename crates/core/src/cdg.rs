@@ -7,18 +7,68 @@
 //! guess on the cycle must abort (§4.2.5: "If an edge added to the CDG
 //! creates a cycle, then a time fault has been detected. All threads in the
 //! cycle are aborted.").
+//!
+//! Representation (DESIGN.md §5d): every node with an edge owns a slot in
+//! a slab, and each slot keeps its forward and reverse adjacency as plain vectors of
+//! `(slot, generation)` links. Removing a node frees its slot and bumps the
+//! slot's generation, which turns every link that still names it into a
+//! stale link; walks skip stale links, and a list is compacted once its
+//! stale links outnumber its live ones. Every operation therefore costs
+//! O(degree of the nodes it touches), and [`Cdg::add_edges_into`] checks a
+//! whole PRECEDENCE guard with one search.
 
 use crate::ids::GuessId;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::cell::Cell;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Index entry of a node without edges: it gets a slot with its first edge.
+const NO_SLOT: u32 = u32::MAX;
+
+/// One adjacency entry: the slot at the other end, valid while that slot's
+/// generation still equals `gen`.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    slot: u32,
+    gen: u32,
+}
+
+/// An adjacency list plus the number of its links known to be stale.
+#[derive(Debug, Clone, Default)]
+struct Adj {
+    links: Vec<Link>,
+    stale: u32,
+}
+
+#[derive(Debug, Clone)]
+struct Slot {
+    id: GuessId,
+    /// Bumped when the slot is freed, invalidating links to the old node.
+    gen: u32,
+    /// Forward links: `self → link`.
+    out: Adj,
+    /// Reverse links: `link → self`.
+    inn: Adj,
+}
 
 /// Commit dependency graph: nodes are guesses, an edge `a → b` means "guess
 /// `a` (logically) precedes guess `b`", i.e. `b` cannot commit before `a`.
 #[derive(Debug, Clone, Default)]
 pub struct Cdg {
-    /// Forward adjacency: edges[a] = set of b with a → b.
-    edges: BTreeMap<GuessId, BTreeSet<GuessId>>,
-    /// All nodes ever mentioned (sources or targets).
-    nodes: BTreeSet<GuessId>,
+    /// Live nodes and their slots (or `NO_SLOT`), in guess order.
+    index: BTreeMap<GuessId, u32>,
+    slots: Vec<Slot>,
+    /// Freed slots, reused before the slab grows.
+    free: Vec<u32>,
+    /// Number of live edges.
+    edges: usize,
+    /// Per-slot search stamps, parallel to `slots` (see `add_edges_into`).
+    marks: Vec<u64>,
+    epoch: u64,
+    /// Scratch buffers reused across searches.
+    queue: Vec<u32>,
+    from_slots: Vec<u32>,
+    /// Adjacency links read so far (a deterministic work counter).
+    visits: Cell<u64>,
 }
 
 /// Result of inserting an edge.
@@ -37,26 +87,28 @@ impl Cdg {
     }
 
     pub fn contains_node(&self, g: GuessId) -> bool {
-        self.nodes.contains(&g)
+        self.index.contains_key(&g)
     }
 
     pub fn add_node(&mut self, g: GuessId) {
-        self.nodes.insert(g);
+        self.index.entry(g).or_insert(NO_SLOT);
     }
 
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.index.len()
     }
 
     pub fn edge_count(&self) -> usize {
-        self.edges.values().map(|s| s.len()).sum()
+        self.edges
     }
 
     pub fn has_edge(&self, from: GuessId, to: GuessId) -> bool {
-        self.edges
-            .get(&from)
-            .map(|s| s.contains(&to))
-            .unwrap_or(false)
+        let (Some(f), Some(t)) = (self.slot(from), self.slot(to)) else {
+            return false;
+        };
+        let links = &self.slots[f as usize].out.links;
+        self.count(links.len());
+        links.iter().any(|l| l.slot == t && self.live(*l))
     }
 
     /// Insert the edge `from → to`, detecting cycles.
@@ -64,141 +116,322 @@ impl Cdg {
     /// A self-loop `g → g` (the Figure 4 local time fault, `{x1} → {x1}`)
     /// is reported as a cycle containing just `g`.
     pub fn add_edge(&mut self, from: GuessId, to: GuessId) -> EdgeOutcome {
-        self.nodes.insert(from);
-        self.nodes.insert(to);
-        if from == to {
-            return EdgeOutcome::Cycle(BTreeSet::from([from]));
-        }
-        // A cycle through the new edge exists iff `from` is reachable from
-        // `to` in the existing graph. Collect all nodes on such paths.
-        if let Some(on_cycle) = self.nodes_on_paths(to, from) {
-            let mut cyc = on_cycle;
-            cyc.insert(from);
-            cyc.insert(to);
-            // Record the edge anyway: callers abort every guess on the cycle
-            // and then remove them, which erases it.
-            self.edges.entry(from).or_default().insert(to);
-            return EdgeOutcome::Cycle(cyc);
-        }
-        self.edges.entry(from).or_default().insert(to);
-        EdgeOutcome::Acyclic
+        self.add_edges_into(&[from], to)
     }
 
-    /// All nodes lying on some path `src → ... → dst` (inclusive), or `None`
-    /// if `dst` is unreachable from `src`.
-    fn nodes_on_paths(&self, src: GuessId, dst: GuessId) -> Option<BTreeSet<GuessId>> {
-        // Forward reachability from src.
-        let fwd = self.reachable_from(src);
-        if !fwd.contains(&dst) {
-            return None;
+    /// Insert `f → to` for every `f` in `froms` — one PRECEDENCE(to, froms)
+    /// — with a single cycle search. The outcome, the edges and the nodes
+    /// are those of calling [`Cdg::add_edge`] for each member in turn: a
+    /// cycle is reported iff the search forward from `to` reaches a member
+    /// (or a member is `to` itself), and its members are the nodes on some
+    /// path from `to` back to a reached member, plus `to`. Edges that close
+    /// a cycle are recorded anyway: callers abort every guess on the cycle
+    /// and then remove them, which erases the edges. An empty `froms` does
+    /// nothing.
+    pub fn add_edges_into(&mut self, froms: &[GuessId], to: GuessId) -> EdgeOutcome {
+        if froms.is_empty() {
+            return EdgeOutcome::Acyclic;
         }
-        // Backward reachability from dst, intersected with fwd.
-        let back = self.reverse_reachable_from(dst);
-        Some(fwd.intersection(&back).copied().collect())
-    }
+        let t = self.slot_or_insert(to);
+        let mut from_slots = std::mem::take(&mut self.from_slots);
+        from_slots.clear();
+        from_slots.extend(froms.iter().map(|&f| self.slot_or_insert(f)));
 
-    fn reachable_from(&self, src: GuessId) -> BTreeSet<GuessId> {
-        let mut seen = BTreeSet::from([src]);
-        let mut queue = VecDeque::from([src]);
-        while let Some(n) = queue.pop_front() {
-            if let Some(succs) = self.edges.get(&n) {
-                for &s in succs {
-                    if seen.insert(s) {
-                        queue.push_back(s);
-                    }
-                }
+        // Stamps for this call: `fwd` marks nodes reached forward from
+        // `to`, `back` those also found walking back from a reached member,
+        // `pred` the current predecessors of `to`. Edges into `to` never
+        // change what `to` reaches, so one search serves every member.
+        self.epoch += 3;
+        let (fwd, back, pred) = (self.epoch, self.epoch + 1, self.epoch + 2);
+
+        let mut queue = std::mem::take(&mut self.queue);
+        queue.clear();
+        queue.push(t);
+        self.marks[t as usize] = fwd;
+        self.walk(&mut queue, |s| &s.out, |m| m < fwd, fwd);
+
+        let mut self_loop = false;
+        queue.clear();
+        for &f in &from_slots {
+            if f == t {
+                self_loop = true;
+            } else if self.marks[f as usize] == fwd {
+                self.marks[f as usize] = back;
+                queue.push(f);
             }
         }
-        seen
-    }
+        // Walk back from the reached members, staying inside the forward
+        // set: every node on a path `to →* member` is in it.
+        self.walk(&mut queue, |s| &s.inn, |m| m == fwd, back);
+        let cycle = (self_loop || !queue.is_empty()).then(|| {
+            let mut set: BTreeSet<GuessId> =
+                queue.iter().map(|&n| self.slots[n as usize].id).collect();
+            set.insert(to);
+            set
+        });
 
-    fn reverse_reachable_from(&self, dst: GuessId) -> BTreeSet<GuessId> {
-        let mut seen = BTreeSet::from([dst]);
-        loop {
-            let mut grew = false;
-            for (&a, succs) in &self.edges {
-                if !seen.contains(&a) && succs.iter().any(|b| seen.contains(b)) {
-                    seen.insert(a);
-                    grew = true;
-                }
-            }
-            if !grew {
-                return seen;
+        // Insert the edges not already present.
+        let links = &self.slots[t as usize].inn.links;
+        self.count(links.len());
+        for l in links {
+            if self.slots[l.slot as usize].gen == l.gen {
+                self.marks[l.slot as usize] = pred;
             }
         }
+        let tgen = self.slots[t as usize].gen;
+        self.slots[t as usize].inn.links.reserve(from_slots.len());
+        for &f in &from_slots {
+            if f == t || self.marks[f as usize] == pred {
+                continue;
+            }
+            self.marks[f as usize] = pred;
+            let fgen = self.slots[f as usize].gen;
+            push_link(
+                &mut self.slots[f as usize].out.links,
+                Link { slot: t, gen: tgen },
+            );
+            self.slots[t as usize]
+                .inn
+                .links
+                .push(Link { slot: f, gen: fgen });
+            self.edges += 1;
+        }
+        self.queue = queue;
+        self.from_slots = from_slots;
+        cycle.map_or(EdgeOutcome::Acyclic, EdgeOutcome::Cycle)
     }
 
-    /// Predecessors of `g` currently in the graph.
+    /// Predecessors of `g` currently in the graph, in guess order.
     pub fn predecessors(&self, g: GuessId) -> Vec<GuessId> {
-        self.edges
-            .iter()
-            .filter(|(_, succs)| succs.contains(&g))
-            .map(|(&a, _)| a)
-            .collect()
+        self.neighbours(g, |s| &s.inn)
     }
 
-    /// Successors of `g` currently in the graph.
+    /// Successors of `g` currently in the graph, in guess order.
     pub fn successors(&self, g: GuessId) -> Vec<GuessId> {
-        self.edges
-            .get(&g)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
+        self.neighbours(g, |s| &s.out)
     }
 
     /// Remove a resolved guess (committed or aborted) and its edges
     /// (§4.2.6: "x_n is removed from the CDG. Any predecessors of x_n are
     /// also removed").
     pub fn remove(&mut self, g: GuessId) {
-        self.nodes.remove(&g);
-        self.edges.remove(&g);
-        for succs in self.edges.values_mut() {
-            succs.remove(&g);
+        let Some(s) = self.index.remove(&g).filter(|&s| s != NO_SLOT) else {
+            return;
+        };
+        let slot = &mut self.slots[s as usize];
+        // Cannot overflow: a slot whose generation reaches the maximum is
+        // retired below.
+        slot.gen += 1;
+        let exhausted = slot.gen == u32::MAX;
+        let out = std::mem::take(&mut slot.out);
+        let inn = std::mem::take(&mut slot.inn);
+        self.count(out.links.len() + inn.links.len());
+        // Each live neighbour now holds one stale link back to `g`.
+        for l in &out.links {
+            if self.live(*l) {
+                self.edges -= 1;
+                self.charge_stale(l.slot, |s| &mut s.inn);
+            }
         }
-        self.edges.retain(|_, succs| !succs.is_empty());
+        for l in &inn.links {
+            if self.live(*l) {
+                self.edges -= 1;
+                self.charge_stale(l.slot, |s| &mut s.out);
+            }
+        }
+        // Reusing a slot whose generation would wrap could revive a stale
+        // link to an old occupant.
+        if !exhausted {
+            self.free.push(s);
+        }
     }
 
     /// Is `g` a *root*: present, with no unresolved predecessors? A guess
     /// whose predecessors have all committed can itself commit when its own
     /// guard empties.
     pub fn is_root(&self, g: GuessId) -> bool {
-        self.nodes.contains(&g) && self.predecessors(g).is_empty()
+        let s = match self.index.get(&g) {
+            None => return false,
+            Some(&NO_SLOT) => return true,
+            Some(&s) => s,
+        };
+        let links = &self.slots[s as usize].inn.links;
+        self.count(links.len());
+        !links.iter().any(|l| self.live(*l))
     }
 
     /// Iterate nodes in deterministic order.
     pub fn nodes(&self) -> impl Iterator<Item = GuessId> + '_ {
-        self.nodes.iter().copied()
+        self.index.keys().copied()
+    }
+
+    /// Adjacency links read so far by every operation on this graph: a
+    /// deterministic measure of CDG work, independent of the host.
+    pub fn visits(&self) -> u64 {
+        self.visits.get()
+    }
+
+    /// Adjacency links currently stored, live or stale (each edge is
+    /// stored twice, once per endpoint).
+    pub fn stored_links(&self) -> usize {
+        self.slots
+            .iter()
+            .map(|s| s.out.links.len() + s.inn.links.len())
+            .sum()
+    }
+
+    /// Slots in the slab: the peak number of live nodes with edges, plus
+    /// any slot retired after 2³² reuses.
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
     }
 
     /// Exhaustive acyclicity check (test/diagnostic use; the incremental
     /// `add_edge` maintains this invariant in normal operation).
     pub fn is_acyclic(&self) -> bool {
-        // Kahn's algorithm.
-        let mut indeg: BTreeMap<GuessId, usize> = self.nodes.iter().map(|&n| (n, 0)).collect();
-        for succs in self.edges.values() {
-            for &b in succs {
-                *indeg.entry(b).or_insert(0) += 1;
+        // Kahn's algorithm over live nodes.
+        let mut indeg = vec![0usize; self.slots.len()];
+        let mut queue: Vec<u32> = Vec::new();
+        let mut visited = 0usize;
+        for &s in self.index.values() {
+            if s == NO_SLOT {
+                visited += 1;
+                continue;
+            }
+            let d = self.slots[s as usize]
+                .inn
+                .links
+                .iter()
+                .filter(|l| self.live(**l))
+                .count();
+            indeg[s as usize] = d;
+            if d == 0 {
+                queue.push(s);
             }
         }
-        let mut queue: VecDeque<GuessId> = indeg
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&n, _)| n)
-            .collect();
-        let mut visited = 0usize;
-        while let Some(n) = queue.pop_front() {
+        while let Some(n) = queue.pop() {
             visited += 1;
-            if let Some(succs) = self.edges.get(&n) {
-                for &b in succs {
-                    let d = indeg.get_mut(&b).unwrap();
-                    *d -= 1;
-                    if *d == 0 {
-                        queue.push_back(b);
+            for l in &self.slots[n as usize].out.links {
+                if self.live(*l) {
+                    indeg[l.slot as usize] -= 1;
+                    if indeg[l.slot as usize] == 0 {
+                        queue.push(l.slot);
                     }
                 }
             }
         }
-        visited == indeg.len()
+        visited == self.index.len()
     }
+
+    // ------------------------------------------------------------------
+    // Slab internals
+    // ------------------------------------------------------------------
+
+    fn slot(&self, g: GuessId) -> Option<u32> {
+        self.index.get(&g).copied().filter(|&s| s != NO_SLOT)
+    }
+
+    fn slot_or_insert(&mut self, g: GuessId) -> u32 {
+        if let Some(s) = self.slot(g) {
+            return s;
+        }
+        let s = match self.free.pop() {
+            Some(s) => {
+                self.slots[s as usize].id = g;
+                s
+            }
+            None => {
+                self.slots.push(Slot {
+                    id: g,
+                    gen: 0,
+                    out: Adj::default(),
+                    inn: Adj::default(),
+                });
+                self.marks.push(0);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.index.insert(g, s);
+        s
+    }
+
+    /// Does `l` still name the node that occupied its slot when it was
+    /// made?
+    fn live(&self, l: Link) -> bool {
+        self.slots[l.slot as usize].gen == l.gen
+    }
+
+    fn count(&self, links: usize) {
+        self.visits.set(self.visits.get() + links as u64);
+    }
+
+    /// Breadth-first walk from the nodes in `queue` along the `side`
+    /// lists, appending to `queue` and stamping with `stamp` every node
+    /// whose current stamp satisfies `fresh`.
+    fn walk(
+        &mut self,
+        queue: &mut Vec<u32>,
+        side: impl Fn(&Slot) -> &Adj,
+        fresh: impl Fn(u64) -> bool,
+        stamp: u64,
+    ) {
+        let (slots, marks) = (&self.slots, &mut self.marks);
+        let mut i = 0;
+        while i < queue.len() {
+            let links = &side(&slots[queue[i] as usize]).links;
+            i += 1;
+            self.visits.set(self.visits.get() + links.len() as u64);
+            for l in links {
+                let m = l.slot as usize;
+                if slots[m].gen == l.gen && fresh(marks[m]) {
+                    marks[m] = stamp;
+                    queue.push(l.slot);
+                }
+            }
+        }
+    }
+
+    fn neighbours(&self, g: GuessId, side: impl Fn(&Slot) -> &Adj) -> Vec<GuessId> {
+        let Some(s) = self.slot(g) else {
+            return Vec::new();
+        };
+        let links = &side(&self.slots[s as usize]).links;
+        self.count(links.len());
+        let mut ids: Vec<GuessId> = links
+            .iter()
+            .filter(|l| self.live(**l))
+            .map(|l| self.slots[l.slot as usize].id)
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Record one more stale link in a list of `slot`, compacting the list
+    /// once its stale links outnumber its live ones. This keeps every list
+    /// within twice its live length.
+    fn charge_stale(&mut self, slot: u32, side: impl Fn(&mut Slot) -> &mut Adj) {
+        let adj = side(&mut self.slots[slot as usize]);
+        adj.stale += 1;
+        if 2 * adj.stale as usize <= adj.links.len() {
+            return;
+        }
+        let mut links = std::mem::take(&mut adj.links);
+        self.count(links.len());
+        links.retain(|l| self.live(*l));
+        let adj = side(&mut self.slots[slot as usize]);
+        adj.links = links;
+        adj.stale = 0;
+    }
+}
+
+/// Push growing by half rather than doubling. Forward lists grow one link
+/// per PRECEDENCE, so with doubling their spare capacity is a large share
+/// of the graph's memory.
+fn push_link(links: &mut Vec<Link>, l: Link) {
+    if links.len() == links.capacity() {
+        links.reserve_exact((links.len() / 2).max(4));
+    }
+    links.push(l);
 }
 
 #[cfg(test)]

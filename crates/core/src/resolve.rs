@@ -105,14 +105,9 @@ impl ProcessCore {
         }
         // Unknown: some other guard g_m is in our past. Record the edges
         // locally and broadcast PRECEDENCE (§3.2).
-        let mut cycle_members: BTreeSet<GuessId> = BTreeSet::new();
-        for g in left_guard.iter() {
-            if let EdgeOutcome::Cycle(c) = self.cdg.add_edge(g, guess) {
-                cycle_members.extend(c);
-            }
-        }
-        if !cycle_members.is_empty() {
-            let effects = self.abort_cycle(cycle_members);
+        let froms: Vec<GuessId> = left_guard.iter().collect();
+        if let EdgeOutcome::Cycle(members) = self.cdg.add_edges_into(&froms, guess) {
+            let effects = self.abort_cycle(members);
             return JoinDecision::Abort { effects };
         }
         if let Some(o) = self.own.get_mut(&guess) {
@@ -162,16 +157,21 @@ impl ProcessCore {
     pub fn on_precedence(&mut self, g: GuessId, guard: &Guard) -> AbortEffects {
         self.history.record_unknown(g);
         let mut cycle_members: BTreeSet<GuessId> = BTreeSet::new();
+        // The filter is applied in guard order, as if each edge were added
+        // in turn: adding one makes `g` a node, so every later member is
+        // added too, while members before the first node guess are not.
+        let mut g_is_node = self.cdg.contains_node(g);
+        let mut froms = Vec::new();
         for h in guard.iter() {
             if h == g {
                 cycle_members.insert(g);
-                continue;
+            } else if g_is_node || self.cdg.contains_node(h) {
+                g_is_node = true;
+                froms.push(h);
             }
-            if self.cdg.contains_node(h) || self.cdg.contains_node(g) {
-                if let EdgeOutcome::Cycle(c) = self.cdg.add_edge(h, g) {
-                    cycle_members.extend(c);
-                }
-            }
+        }
+        if let EdgeOutcome::Cycle(c) = self.cdg.add_edges_into(&froms, g) {
+            cycle_members.extend(c);
         }
         if cycle_members.is_empty() {
             AbortEffects::default()
@@ -683,6 +683,37 @@ mod tests {
         assert!(s.thread(0).guard.contains(g(1, 1)));
         assert!(!s.thread(0).guard.contains(g(0, 1)));
         assert_eq!(s.thread(0).interval, 1);
+    }
+
+    #[test]
+    fn precedence_filter_follows_guard_order() {
+        // §4.2.8 adds h → g "if either g or h is a node". Members are taken
+        // in guard order and the first added edge makes g a node: members
+        // listed before the first node guess add nothing, every member
+        // after it adds its edge.
+        let mut s = server(3);
+        s.cdg.add_node(g(2, 1));
+        let guard = Guard::from_iter([g(0, 1), g(1, 1), g(2, 1), g(4, 1)]);
+        assert!(s.on_precedence(g(5, 1), &guard).is_empty());
+        assert!(!s.cdg.contains_node(g(0, 1)));
+        assert!(!s.cdg.contains_node(g(1, 1)));
+        assert!(s.cdg.has_edge(g(2, 1), g(5, 1)));
+        assert!(s.cdg.has_edge(g(4, 1), g(5, 1)));
+        assert_eq!(s.cdg.edge_count(), 2);
+        assert_eq!(s.cdg.node_count(), 3);
+
+        // Once g is a node, every member is added.
+        assert!(s.on_precedence(g(5, 1), &guard).is_empty());
+        assert!(s.cdg.has_edge(g(0, 1), g(5, 1)));
+        assert!(s.cdg.has_edge(g(1, 1), g(5, 1)));
+        assert_eq!(s.cdg.edge_count(), 4);
+
+        // No member is a node and g is not one: nothing is added.
+        let before = s.cdg.node_count();
+        let fresh = Guard::from_iter([g(6, 1), g(7, 1)]);
+        assert!(s.on_precedence(g(8, 1), &fresh).is_empty());
+        assert_eq!(s.cdg.node_count(), before);
+        assert_eq!(s.cdg.edge_count(), 4);
     }
 
     #[test]

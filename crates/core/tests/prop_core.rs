@@ -1,6 +1,7 @@
 //! Property-based tests on the protocol core's data structures: guard-set
 //! algebra, compaction round trips, CDG cycle detection against a naive
-//! oracle, and incarnation-table consistency.
+//! oracle and against a reference graph model, and incarnation-table
+//! consistency.
 
 use opcsp_core::{
     Cdg, CompactGuard, EdgeOutcome, Guard, GuessId, History, Incarnation, IncarnationTable,
@@ -268,6 +269,167 @@ proptest! {
         for n in cdg.nodes() {
             prop_assert!(!cdg.has_edge(n, victim));
             prop_assert!(!cdg.has_edge(victim, n));
+        }
+    }
+}
+
+/// Reference CDG for the differential test: forward edges in one ordered
+/// set, every query a scan. Cycle sets follow the definition — the nodes on
+/// some path from the edge's head back to its tail, plus both ends.
+#[derive(Default)]
+struct NaiveCdg {
+    nodes: BTreeSet<GuessId>,
+    edges: BTreeSet<(GuessId, GuessId)>,
+}
+
+impl NaiveCdg {
+    /// Nodes reachable from `start` along edges (`forward`) or against them.
+    fn reach(&self, start: GuessId, forward: bool) -> BTreeSet<GuessId> {
+        let mut seen = BTreeSet::from([start]);
+        let mut stack = vec![start];
+        while let Some(n) = stack.pop() {
+            for &(a, b) in &self.edges {
+                let (here, there) = if forward { (a, b) } else { (b, a) };
+                if here == n && seen.insert(there) {
+                    stack.push(there);
+                }
+            }
+        }
+        seen
+    }
+
+    fn add_edge(&mut self, from: GuessId, to: GuessId) -> EdgeOutcome {
+        self.nodes.insert(from);
+        self.nodes.insert(to);
+        if from == to {
+            return EdgeOutcome::Cycle(BTreeSet::from([from]));
+        }
+        let fwd = self.reach(to, true);
+        let outcome = if fwd.contains(&from) {
+            let mut on_cycle: BTreeSet<GuessId> = fwd
+                .intersection(&self.reach(from, false))
+                .copied()
+                .collect();
+            on_cycle.insert(from);
+            on_cycle.insert(to);
+            EdgeOutcome::Cycle(on_cycle)
+        } else {
+            EdgeOutcome::Acyclic
+        };
+        self.edges.insert((from, to));
+        outcome
+    }
+
+    /// One `add_edge` per member, in order; the cycle sets are united.
+    fn add_edges_into(&mut self, froms: &[GuessId], to: GuessId) -> EdgeOutcome {
+        let mut on_cycle: Option<BTreeSet<GuessId>> = None;
+        for &f in froms {
+            if let EdgeOutcome::Cycle(c) = self.add_edge(f, to) {
+                on_cycle.get_or_insert_with(BTreeSet::new).extend(c);
+            }
+        }
+        on_cycle.map_or(EdgeOutcome::Acyclic, EdgeOutcome::Cycle)
+    }
+
+    fn remove(&mut self, g: GuessId) {
+        self.nodes.remove(&g);
+        self.edges.retain(|&(a, b)| a != g && b != g);
+    }
+
+    fn predecessors(&self, g: GuessId) -> Vec<GuessId> {
+        self.edges
+            .iter()
+            .filter(|e| e.1 == g)
+            .map(|e| e.0)
+            .collect()
+    }
+
+    fn successors(&self, g: GuessId) -> Vec<GuessId> {
+        self.edges
+            .iter()
+            .filter(|e| e.0 == g)
+            .map(|e| e.1)
+            .collect()
+    }
+}
+
+/// A small guess universe, so random operations revisit nodes, close
+/// cycles and reuse freed slots.
+fn arb_small_guess() -> impl Strategy<Value = GuessId> {
+    (0u32..3, 0u32..5).prop_map(|(p, n)| GuessId::first(ProcessId(p), n))
+}
+
+fn small_universe() -> Vec<GuessId> {
+    (0..3)
+        .flat_map(|p| (0..5).map(move |n| GuessId::first(ProcessId(p), n)))
+        .collect()
+}
+
+/// Every query of `cdg` agrees with the reference model.
+fn assert_same_graph(cdg: &Cdg, naive: &NaiveCdg) {
+    prop_assert_eq!(cdg.nodes().collect::<BTreeSet<_>>(), naive.nodes.clone());
+    prop_assert_eq!(cdg.node_count(), naive.nodes.len());
+    prop_assert_eq!(cdg.edge_count(), naive.edges.len());
+    let universe = small_universe();
+    for &a in &universe {
+        prop_assert_eq!(cdg.contains_node(a), naive.nodes.contains(&a));
+        prop_assert_eq!(cdg.predecessors(a), naive.predecessors(a));
+        prop_assert_eq!(cdg.successors(a), naive.successors(a));
+        let root = naive.nodes.contains(&a) && naive.predecessors(a).is_empty();
+        prop_assert_eq!(cdg.is_root(a), root);
+        for &b in &universe {
+            prop_assert_eq!(cdg.has_edge(a, b), naive.edges.contains(&(a, b)));
+        }
+    }
+}
+
+proptest! {
+    /// The slab CDG matches the naive reference model on random sequences
+    /// of single inserts, bulk inserts (one PRECEDENCE each), node inserts
+    /// and removals. A step that closes a cycle is compared before the
+    /// cycle is resolved; `react` then removes its members, as the
+    /// protocol's abort does, and the graph is compared again.
+    #[test]
+    fn cdg_matches_reference_model(
+        ops in proptest::collection::vec(
+            (
+                0u8..6,
+                arb_small_guess(),
+                proptest::collection::vec(arb_small_guess(), 0..6),
+                0u8..2,
+            ),
+            1..60,
+        )
+    ) {
+        let mut cdg = Cdg::new();
+        let mut naive = NaiveCdg::default();
+        for (kind, to, froms, react) in ops {
+            let (got, want) = match kind {
+                0 | 1 => {
+                    let from = froms.first().copied().unwrap_or(to);
+                    (cdg.add_edge(from, to), naive.add_edge(from, to))
+                }
+                2 | 3 => (cdg.add_edges_into(&froms, to), naive.add_edges_into(&froms, to)),
+                4 => {
+                    cdg.add_node(to);
+                    naive.nodes.insert(to);
+                    (EdgeOutcome::Acyclic, EdgeOutcome::Acyclic)
+                }
+                _ => {
+                    cdg.remove(to);
+                    naive.remove(to);
+                    (EdgeOutcome::Acyclic, EdgeOutcome::Acyclic)
+                }
+            };
+            prop_assert_eq!(&got, &want);
+            assert_same_graph(&cdg, &naive);
+            if let (EdgeOutcome::Cycle(members), 1) = (got, react) {
+                for m in members {
+                    cdg.remove(m);
+                    naive.remove(m);
+                }
+                assert_same_graph(&cdg, &naive);
+            }
         }
     }
 }
