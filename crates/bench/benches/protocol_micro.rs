@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the protocol core — the per-operation overheads
 //! the paper's §6 claims are "small": guard tagging, arrival processing,
-//! fork/join bookkeeping, abort cascades and CDG cycle detection.
+//! fork/join bookkeeping, commit waves, abort cascades and CDG cycle
+//! detection.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use opcsp_core::{
@@ -93,6 +94,34 @@ fn bench_abort_cascade(c: &mut Criterion) {
     g.finish();
 }
 
+/// A commit wave at a client streaming `n` calls: thread 0 receives a
+/// reply tagged with `n` server guesses and forks `n - 1` times, so `n`
+/// threads hold `n` guesses each; then the guesses commit oldest first.
+/// Each iteration builds the threads and lands all `n` COMMITs (`n` holders
+/// each), the replicated-KV commit path at one process.
+fn bench_commit_landing(c: &mut Criterion) {
+    let mut g = c.benchmark_group("core/commit_landing");
+    for n in [64u32, 256] {
+        let ys: Vec<GuessId> = (1..=n).map(|i| GuessId::first(ProcessId(9), i)).collect();
+        let tag: Guard = ys.iter().copied().collect();
+        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
+            b.iter(|| {
+                let mut core = ProcessCore::new(ProcessId(0), CoreConfig::default());
+                core.deliver(0, &env_with(ProcessId(0), tag.clone()));
+                let mut t = 0;
+                for _ in 1..n {
+                    t = core.fork(t, 1).right_thread;
+                }
+                for &y in &ys {
+                    black_box(core.on_commit(y));
+                }
+                core
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_cdg(c: &mut Criterion) {
     c.bench_function("cdg/add_edge_cycle_check", |b| {
         b.iter(|| {
@@ -157,6 +186,7 @@ criterion_group!(
     bench_fork_join_cycle,
     bench_deliver,
     bench_abort_cascade,
+    bench_commit_landing,
     bench_cdg
 );
 criterion_main!(benches);

@@ -17,9 +17,9 @@
 //! O(degree of the nodes it touches), and [`Cdg::add_edges_into`] checks a
 //! whole PRECEDENCE guard with one search.
 
-use crate::ids::GuessId;
+use crate::ids::{GuessId, GuessMap};
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Index entry of a node without edges: it gets a slot with its first edge.
 const NO_SLOT: u32 = u32::MAX;
@@ -54,8 +54,8 @@ struct Slot {
 /// `a` (logically) precedes guess `b`", i.e. `b` cannot commit before `a`.
 #[derive(Debug, Clone, Default)]
 pub struct Cdg {
-    /// Live nodes and their slots (or `NO_SLOT`), in guess order.
-    index: BTreeMap<GuessId, u32>,
+    /// Live nodes and their slots (or `NO_SLOT`).
+    index: GuessMap<u32>,
     slots: Vec<Slot>,
     /// Freed slots, reused before the slab grows.
     free: Vec<u32>,
@@ -260,9 +260,12 @@ impl Cdg {
         !links.iter().any(|l| self.live(*l))
     }
 
-    /// Iterate nodes in deterministic order.
-    pub fn nodes(&self) -> impl Iterator<Item = GuessId> + '_ {
-        self.index.keys().copied()
+    /// The nodes in guess order (sorted on each call; diagnostics and
+    /// tests).
+    pub fn nodes(&self) -> impl Iterator<Item = GuessId> {
+        let mut ids: Vec<GuessId> = self.index.keys().copied().collect();
+        ids.sort_unstable();
+        ids.into_iter()
     }
 
     /// Adjacency links read so far by every operation on this graph: a

@@ -19,7 +19,9 @@
 //!   allocation at all;
 //! - **shared** (`Arc<[GuessId]>`) beyond that — `clone` is a reference
 //!   count bump, and mutation copies the slice only when it is actually
-//!   shared.
+//!   shared. A guard that owns its buffer alone removes a guess by
+//!   shifting in place, leaving a spare slot at the end that a later
+//!   insert can take, so a commit landing on it allocates nothing.
 //!
 //! Iteration order is sorted either way, so traces stay deterministic and
 //! the derived `Ord` matches the previous `BTreeSet`-backed ordering
@@ -39,7 +41,10 @@ enum Repr {
         len: u8,
         elems: [GuessId; Guard::INLINE_CAP],
     },
-    Shared(Arc<[GuessId]>),
+    /// The first `len` entries of `buf`; any tail is spare room left by
+    /// in-place removals. A buffer is only written while its `Arc` is
+    /// unique, so every guard sharing one sees the same `len`.
+    Shared { len: u32, buf: Arc<[GuessId]> },
 }
 
 /// A commit guard set: the uncommitted guesses a computation depends upon.
@@ -100,7 +105,10 @@ impl Guard {
             }
         } else {
             Guard {
-                repr: Repr::Shared(v.into()),
+                repr: Repr::Shared {
+                    len: v.len() as u32,
+                    buf: v.into(),
+                },
             }
         }
     }
@@ -110,7 +118,16 @@ impl Guard {
     pub fn as_slice(&self) -> &[GuessId] {
         match &self.repr {
             Repr::Inline { len, elems } => &elems[..*len as usize],
-            Repr::Shared(a) => a,
+            Repr::Shared { len, buf } => &buf[..*len as usize],
+        }
+    }
+
+    /// The length and buffer of shared storage that no other guard holds:
+    /// the one case where mutation may write in place.
+    fn unique_storage(&mut self) -> Option<(&mut u32, &mut [GuessId])> {
+        match &mut self.repr {
+            Repr::Shared { len, buf } => Arc::get_mut(buf).map(|b| (len, b)),
+            Repr::Inline { .. } => None,
         }
     }
 
@@ -124,7 +141,7 @@ impl Guard {
     pub fn len(&self) -> usize {
         match &self.repr {
             Repr::Inline { len, .. } => *len as usize,
-            Repr::Shared(a) => a.len(),
+            Repr::Shared { len, .. } => *len as usize,
         }
     }
 
@@ -140,6 +157,15 @@ impl Guard {
             Ok(_) => return false,
             Err(p) => p,
         };
+        if let Some((len, buf)) = self.unique_storage() {
+            let n = *len as usize;
+            if n < buf.len() {
+                buf.copy_within(pos..n, pos + 1);
+                buf[pos] = g;
+                *len += 1;
+                return true;
+            }
+        }
         match &mut self.repr {
             Repr::Inline { len, elems } if (*len as usize) < Guard::INLINE_CAP => {
                 elems[pos..=*len as usize].rotate_right(1);
@@ -158,18 +184,27 @@ impl Guard {
 
     /// Remove a guess whose predicate committed (§3.1: "When a predicate
     /// p_i in a computation's commit guard set commits, pi is removed from
-    /// the set"). Returns true if it was present.
+    /// the set"). Returns true if it was present. Storage this guard owns
+    /// alone shrinks in place; shared storage is copied once.
     pub fn remove(&mut self, g: GuessId) -> bool {
         let pos = match self.as_slice().binary_search(&g) {
             Ok(p) => p,
             Err(_) => return false,
         };
+        let n = self.len();
+        if n - 1 > Guard::INLINE_CAP {
+            if let Some((len, buf)) = self.unique_storage() {
+                buf.copy_within(pos + 1..n, pos);
+                *len -= 1;
+                return true;
+            }
+        }
         match &mut self.repr {
             Repr::Inline { len, elems } => {
                 elems[pos..*len as usize].rotate_left(1);
                 *len -= 1;
             }
-            Repr::Shared(_) => {
+            Repr::Shared { .. } => {
                 let mut v = Vec::with_capacity(self.len() - 1);
                 v.extend_from_slice(&self.as_slice()[..pos]);
                 v.extend_from_slice(&self.as_slice()[pos + 1..]);
@@ -299,7 +334,7 @@ impl Guard {
     /// do (they own no allocation). Test hook for the O(1)-clone guarantee.
     pub fn shares_storage_with(&self, other: &Guard) -> bool {
         match (&self.repr, &other.repr) {
-            (Repr::Shared(a), Repr::Shared(b)) => Arc::ptr_eq(a, b),
+            (Repr::Shared { buf: a, .. }, Repr::Shared { buf: b, .. }) => Arc::ptr_eq(a, b),
             _ => false,
         }
     }
@@ -611,6 +646,50 @@ mod tests {
         let c = a.clone();
         assert!(!a.shares_storage_with(&c), "inline after demotion");
         assert_eq!(alias.len(), Guard::INLINE_CAP + 1);
+    }
+
+    #[test]
+    fn unique_storage_shrinks_and_refills_in_place() {
+        let mut a = big(8);
+        let buf = a.as_slice().as_ptr();
+        let first = a.iter().next().unwrap();
+        assert!(a.remove(first));
+        assert_eq!(a.as_slice().as_ptr(), buf, "removal must not reallocate");
+        assert_eq!(a, big(8).iter().skip(1).collect::<Guard>());
+        assert!(a.insert(g(9, 99)));
+        assert_eq!(
+            a.as_slice().as_ptr(),
+            buf,
+            "the freed slot takes the insert"
+        );
+        assert_eq!(a.len(), 8);
+        assert!(a.contains(g(9, 99)));
+        // No spare slot left: the next insert copies.
+        assert!(a.insert(g(9, 100)));
+        assert_eq!(a.len(), 9);
+    }
+
+    #[test]
+    fn shared_storage_is_copied_once_then_shrinks_in_place() {
+        let mut a = big(8);
+        let alias = a.clone();
+        let members: Vec<GuessId> = a.iter().collect();
+        assert!(a.remove(members[3]));
+        assert!(!a.shares_storage_with(&alias));
+        assert_eq!(alias.len(), 8, "the alias keeps every member");
+        let buf = a.as_slice().as_ptr();
+        assert!(a.remove(members[5]));
+        assert_eq!(a.as_slice().as_ptr(), buf);
+        let expect: Guard = members
+            .iter()
+            .copied()
+            .filter(|m| *m != members[3] && *m != members[5])
+            .collect();
+        assert_eq!(a, expect);
+        // A clone taken after an in-place shrink sees the same members.
+        let c = a.clone();
+        assert!(c.shares_storage_with(&a));
+        assert_eq!(c, expect);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! every time the process aborts one of its own threads, and the thread
 //! index is reset to the index of the aborted thread.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A process in the distributed system (client, server, or external sink).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -92,6 +94,43 @@ impl fmt::Display for GuessId {
                 self.index
             )
         }
+    }
+}
+
+/// A hash map keyed by guess with a fixed hasher: lookups cost a few
+/// multiplies instead of SipHash rounds, and iteration order is the same on
+/// every run (no per-process random seed), so nothing downstream can pick up
+/// host-dependent order by accident.
+pub type GuessMap<V> = HashMap<GuessId, V, BuildHasherDefault<GuessHasher>>;
+
+/// Multiply-rotate word hasher (the FxHash mixing step) for the small
+/// fixed-width identifiers used as map keys in the protocol core.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GuessHasher(u64);
+
+impl GuessHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for GuessHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n as u64);
     }
 }
 

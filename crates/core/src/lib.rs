@@ -28,7 +28,6 @@
 
 pub mod cdg;
 pub mod compact;
-pub mod cow;
 pub mod guard;
 pub mod history;
 pub mod ids;
@@ -42,14 +41,13 @@ pub mod wire;
 
 pub use cdg::{Cdg, EdgeOutcome};
 pub use compact::{measure, CompactGuard, GuardSizes, Span};
-pub use cow::CowMap;
 pub use guard::{Guard, GuardInterner, InternerStats};
 pub use history::{Fate, History, IncarnationTable};
 pub use ids::{ForkIndex, GuessId, Incarnation, ProcessId, StateIndex, ThreadId};
 pub use message::{CallId, Control, DataKind, Envelope, Label, MsgId};
 pub use process::{
     ArrivalVerdict, CoreConfig, DeliveryEffect, ForkRecord, GuessResolution, MetaSnapshot,
-    OwnGuess, OwnGuessState, ProcessCore, ResolutionCause, ThreadMeta, ThreadPhase,
+    OwnGuess, OwnGuessState, ProcessCore, ResolutionCause, RollbackPoints, ThreadMeta, ThreadPhase,
 };
 pub use resolve::{AbortEffects, CommitEffects, JoinDecision};
 pub use speculation::{PolicyShift, ShiftReason, SiteController, SpeculationPolicy};

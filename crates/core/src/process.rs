@@ -14,14 +14,14 @@
 //! bookkeeping is simpler.
 
 use crate::cdg::Cdg;
-use crate::cow::CowMap;
 use crate::guard::{Guard, GuardInterner, InternerStats};
 use crate::history::History;
-use crate::ids::{ForkIndex, GuessId, Incarnation, ProcessId, StateIndex};
-use crate::message::{DataKind, Envelope};
+use crate::ids::{ForkIndex, GuessId, GuessMap, Incarnation, ProcessId, StateIndex};
+use crate::message::{Control, DataKind, Envelope};
 use crate::speculation::{PolicyShift, SiteController, SpeculationPolicy, SpeculationState};
 use crate::wire::{GuardCodec, SendTag, WireGuard, WireState, WireStats};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Index;
 
 /// Tuning knobs for the protocol core (ablation switches live here).
 #[derive(Debug, Clone)]
@@ -96,20 +96,83 @@ impl CoreConfig {
 }
 
 /// Protocol metadata snapshot taken at entry to each interval, so rollback
-/// can restore the guard/rollback maps along with the behavior state.
+/// can restore the guard and rollback points along with the behavior state.
 ///
-/// This is a delta checkpoint: the guard is a copy-on-write clone (a
-/// reference-count bump), and the rollback map is represented by the keys
-/// the interval transition *added* — restoring past the snapshot removes
-/// exactly those keys. Entries removed from the live map since a boundary
-/// are always resolution-driven, and the restore path re-filters against
-/// the commit history, so added-keys are the complete delta.
+/// Only the guard is stored, as a copy-on-write clone (a reference-count
+/// bump). The rollback points need no copy: their keys are always the
+/// guard's members, and a member's point never changes while it stays in
+/// the guard, so a restore keeps exactly the live points whose guess is in
+/// the restored guard.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetaSnapshot {
     pub guard: Guard,
-    /// Rollback-map keys first recorded upon entering this snapshot's
-    /// interval.
-    pub added: Vec<GuessId>,
+}
+
+/// `Rollbacks[g]` of one thread (§4.1.3): for every guess in the thread's
+/// guard, the state index at which the thread first became dependent on it.
+///
+/// A vector sorted by guess, so its keys line up with the guard's sorted
+/// members: resolving a guess is one binary search and one in-place shift,
+/// and no lookup chases tree nodes. Reads mirror the `BTreeMap` API
+/// (`get`, `[&g]`, `iter`); only `ProcessCore` writes, which keeps the keys
+/// equal to the guard's members and the process's holder index in step.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RollbackPoints {
+    entries: Vec<(GuessId, StateIndex)>,
+}
+
+impl RollbackPoints {
+    pub fn get(&self, g: &GuessId) -> Option<&StateIndex> {
+        self.search(g).ok().map(|i| &self.entries[i].1)
+    }
+
+    pub fn contains_key(&self, g: &GuessId) -> bool {
+        self.search(g).is_ok()
+    }
+
+    /// Entries in guess order.
+    pub fn iter(&self) -> impl Iterator<Item = (GuessId, StateIndex)> + '_ {
+        self.entries.iter().copied()
+    }
+
+    pub fn keys(&self) -> impl Iterator<Item = GuessId> + '_ {
+        self.entries.iter().map(|e| e.0)
+    }
+
+    fn search(&self, g: &GuessId) -> Result<usize, usize> {
+        self.entries.binary_search_by(|e| e.0.cmp(g))
+    }
+
+    pub(crate) fn insert(&mut self, g: GuessId, at: StateIndex) {
+        match self.search(&g) {
+            Ok(i) => self.entries[i].1 = at,
+            Err(i) => self.entries.insert(i, (g, at)),
+        }
+    }
+
+    pub(crate) fn remove(&mut self, g: &GuessId) -> Option<StateIndex> {
+        self.search(g).ok().map(|i| self.entries.remove(i).1)
+    }
+
+    /// Keep only the entries whose guess is in `guard`.
+    pub(crate) fn retain_members(&mut self, guard: &Guard) {
+        let members = guard.as_slice();
+        let mut j = 0;
+        self.entries.retain(|e| {
+            while j < members.len() && members[j] < e.0 {
+                j += 1;
+            }
+            j < members.len() && members[j] == e.0
+        });
+    }
+}
+
+impl Index<&GuessId> for RollbackPoints {
+    type Output = StateIndex;
+
+    fn index(&self, g: &GuessId) -> &StateIndex {
+        self.get(g).expect("no rollback point for guess")
+    }
 }
 
 /// Why a thread exists / what it is doing, from the protocol's viewpoint.
@@ -134,19 +197,18 @@ pub struct ThreadMeta {
     /// Commit guard set of this thread.
     pub guard: Guard,
     /// `Rollbacks[g]`: state index at which this thread first became
-    /// dependent upon `g` (§4.1.3).
-    pub rollbacks: CowMap<GuessId, StateIndex>,
-    /// Snapshot of (guard, rollbacks) at entry to each interval;
+    /// dependent upon `g` (§4.1.3). Its keys are the guard's members.
+    pub rollbacks: RollbackPoints,
+    /// Snapshot of the guard at entry to each interval;
     /// `snapshots[i]` is the state on entering interval `i`.
     pub snapshots: Vec<MetaSnapshot>,
     pub phase: ThreadPhase,
 }
 
 impl ThreadMeta {
-    fn new(index: ForkIndex, guard: Guard, rollbacks: CowMap<GuessId, StateIndex>) -> Self {
+    fn new(index: ForkIndex, guard: Guard, rollbacks: RollbackPoints) -> Self {
         let snap = MetaSnapshot {
             guard: guard.clone(),
-            added: Vec::new(),
         };
         ThreadMeta {
             index,
@@ -234,10 +296,27 @@ pub struct ProcessCore {
     pub max_thread: ForkIndex,
     pub history: History,
     pub cdg: Cdg,
+    /// Thread metadata. Engines may set a thread's `phase`; guards and
+    /// rollback points change only through `ProcessCore`, which keeps
+    /// `holders` in step with them.
     pub threads: BTreeMap<ForkIndex, ThreadMeta>,
+    /// Holder index: for every guess in some thread's guard, the threads
+    /// whose guard holds it (unordered, no duplicates). Commit and abort
+    /// processing visit these threads instead of scanning every thread the
+    /// process ever created.
+    pub(crate) holders: GuessMap<Vec<ForkIndex>>,
+    /// Thread entries visited by commit and abort processing: a
+    /// deterministic measure of resolution work, independent of the host.
+    thread_visits: u64,
     /// Own guesses, keyed by guess id (fork indices recur across
     /// incarnations).
     pub own: BTreeMap<GuessId, OwnGuess>,
+    /// Own guesses still `Pending`, in guess order: the records the abort
+    /// fixpoint checks for undone forks.
+    pub(crate) pending_own: BTreeSet<GuessId>,
+    /// Own guesses `AwaitingResolution`, in guess order: the records the
+    /// commit cascade checks. `own` itself keeps every record ever made.
+    pub(crate) awaiting_own: BTreeSet<GuessId>,
     /// Per-fork-site speculation controllers (§3.3 policy state: retry
     /// counts, success/latency EWMAs, effective budgets, decision log).
     speculation: SpeculationState,
@@ -293,7 +372,10 @@ impl ProcessCore {
     pub fn new(id: ProcessId, config: CoreConfig) -> Self {
         let config_codec = config.codec;
         let mut threads = BTreeMap::new();
-        threads.insert(0, ThreadMeta::new(0, Guard::empty(), CowMap::new()));
+        threads.insert(
+            0,
+            ThreadMeta::new(0, Guard::empty(), RollbackPoints::default()),
+        );
         ProcessCore {
             id,
             config,
@@ -302,7 +384,11 @@ impl ProcessCore {
             history: History::new(),
             cdg: Cdg::new(),
             threads,
+            holders: GuessMap::default(),
+            thread_visits: 0,
             own: BTreeMap::new(),
+            pending_own: BTreeSet::new(),
+            awaiting_own: BTreeSet::new(),
             speculation: SpeculationState::default(),
             spec_clock: 0,
             dependents: BTreeMap::new(),
@@ -399,6 +485,9 @@ impl ProcessCore {
         let meta = ThreadMeta::new(n, right_guard, right_rollbacks);
         // Hand the same storage back to the caller instead of deep-copying.
         let right_guard = meta.guard.clone();
+        for g in right_guard.iter() {
+            self.holders.entry(g).or_default().push(n);
+        }
         self.threads.insert(n, meta);
         self.cdg.add_node(guess);
         // Record our own incarnation start the same way observers do: the
@@ -418,6 +507,7 @@ impl ProcessCore {
                 state: OwnGuessState::Pending,
             },
         );
+        self.pending_own.insert(guess);
         ForkRecord {
             guess,
             left_thread: creating,
@@ -458,6 +548,8 @@ impl ProcessCore {
     /// Record that a `guard`-tagged data message went to `to` — the
     /// dependency bookkeeping that targeted control dissemination needs
     /// (§4.2.5).
+    /// Engines call it only when `targeted_control` is on: nothing else
+    /// reads the map.
     pub fn note_send(&mut self, guard: &Guard, to: ProcessId) {
         if to == self.id {
             return;
@@ -465,6 +557,21 @@ impl ProcessCore {
         for g in guard.iter() {
             self.dependents.entry(g).or_default().insert(to);
         }
+    }
+
+    /// Recipients for disseminating `ctrl` under targeted control
+    /// (§4.2.5): the recorded dependents of its subject. A COMMIT or ABORT
+    /// is the last control message about its guess that this process
+    /// disseminates (engines send or relay each at most once), so taking
+    /// its targets also drops the guess's entry: the map then holds only
+    /// guesses whose resolution has not passed through here.
+    pub fn take_control_targets(&mut self, ctrl: &Control) -> BTreeSet<ProcessId> {
+        let g = ctrl.subject();
+        let targets = self.dependents_of(g);
+        if !matches!(ctrl, Control::Precedence(..)) {
+            self.dependents.remove(&g);
+        }
+        targets
     }
 
     /// Processes known (to us) to depend on `g`: receivers of our
@@ -608,12 +715,10 @@ impl ProcessCore {
                 new_interval: None,
             };
         }
-        // Delta checkpoint at the boundary (end of previous interval): an
-        // O(1) guard clone plus the keys this delivery adds to the rollback
-        // map — no map copy on the delivery path.
+        // Checkpoint at the boundary (end of previous interval): an O(1)
+        // guard clone — no copy of the rollback points.
         meta.snapshots.push(MetaSnapshot {
             guard: meta.guard.clone(),
-            added: new_guards.clone(),
         });
         meta.interval += 1;
         let idx = StateIndex::new(thread, meta.interval);
@@ -630,6 +735,7 @@ impl ProcessCore {
         for &g in &new_guards {
             meta.rollbacks.insert(g, idx);
             self.cdg.add_node(g);
+            self.holders.entry(g).or_default().push(thread);
         }
         debug_assert_eq!(meta.snapshots.len() as u32, meta.interval + 1);
         DeliveryEffect {
@@ -650,15 +756,7 @@ impl ProcessCore {
 
     /// Total live (unresolved) own guesses — diagnostics.
     pub fn pending_own_guesses(&self) -> usize {
-        self.own
-            .values()
-            .filter(|o| {
-                matches!(
-                    o.state,
-                    OwnGuessState::Pending | OwnGuessState::AwaitingResolution
-                )
-            })
-            .count()
+        self.pending_own.len() + self.awaiting_own.len()
     }
 
     /// Poll-style completion check for executors: no own guess is still
@@ -668,12 +766,60 @@ impl ProcessCore {
     /// kept here (not in the executor) so both runtime executors and the
     /// simulator answer the question identically.
     pub fn speculation_quiescent(&self) -> bool {
-        !self.own.values().any(|o| {
-            matches!(
-                o.state,
-                OwnGuessState::Pending | OwnGuessState::AwaitingResolution
-            )
-        })
+        self.pending_own.is_empty() && self.awaiting_own.is_empty()
+    }
+
+    // ------------------------------------------------------------------
+    // Holder index
+    // ------------------------------------------------------------------
+
+    /// Threads whose guard holds `g`, in no particular order.
+    pub fn holders_of(&self, g: GuessId) -> &[ForkIndex] {
+        self.holders.get(&g).map_or(&[], |l| l.as_slice())
+    }
+
+    /// Every `(guess, thread)` pair of the holder index, in no particular
+    /// order. It equals the set of `(g, t)` with `g` in thread `t`'s guard.
+    pub fn holder_entries(&self) -> impl Iterator<Item = (GuessId, ForkIndex)> + '_ {
+        self.holders
+            .iter()
+            .flat_map(|(&g, list)| list.iter().map(move |&t| (g, t)))
+    }
+
+    /// Thread entries visited so far by commit and abort processing.
+    pub fn thread_visits(&self) -> u64 {
+        self.thread_visits
+    }
+
+    /// Thread `t` no longer holds `g`.
+    pub(crate) fn release(&mut self, g: GuessId, t: ForkIndex) {
+        let Some(list) = self.holders.get_mut(&g) else {
+            return;
+        };
+        if let Some(i) = list.iter().position(|&h| h == t) {
+            list.swap_remove(i);
+        }
+        if list.is_empty() {
+            self.holders.remove(&g);
+        }
+    }
+
+    /// Drop a resolved guess from the guard and rollback points of every
+    /// thread that holds it, and from the index.
+    pub(crate) fn forget_guess(&mut self, g: GuessId) {
+        let Some(list) = self.holders.remove(&g) else {
+            return;
+        };
+        self.thread_visits += list.len() as u64;
+        for t in &list {
+            let meta = self.threads.get_mut(t).expect("indexed holder exists");
+            meta.guard.remove(g);
+            meta.rollbacks.remove(&g);
+        }
+    }
+
+    pub(crate) fn count_visits(&mut self, n: usize) {
+        self.thread_visits += n as u64;
     }
 }
 

@@ -112,6 +112,8 @@ impl ProcessCore {
         }
         if let Some(o) = self.own.get_mut(&guess) {
             o.state = OwnGuessState::AwaitingResolution;
+            self.pending_own.remove(&guess);
+            self.awaiting_own.insert(guess);
         }
         if let Some(t) = self.threads.get_mut(&own.left_thread) {
             t.phase = ThreadPhase::AwaitingResolution;
@@ -160,13 +162,19 @@ impl ProcessCore {
         // The filter is applied in guard order, as if each edge were added
         // in turn: adding one makes `g` a node, so every later member is
         // added too, while members before the first node guess are not.
+        // A member that is not a node and is known committed is skipped: it
+        // has left this CDG for good, and an edge would only bring it back
+        // as a node for `on_commit(g)` to commit a second time. (Only
+        // non-nodes consult the history, which keeps the filter cheap.)
         let mut g_is_node = self.cdg.contains_node(g);
         let mut froms = Vec::new();
         for h in guard.iter() {
             if h == g {
                 cycle_members.insert(g);
-            } else if g_is_node || self.cdg.contains_node(h) {
+            } else if self.cdg.contains_node(h) {
                 g_is_node = true;
+                froms.push(h);
+            } else if g_is_node && !self.history.is_committed(h) {
                 froms.push(h);
             }
         }
@@ -202,6 +210,8 @@ impl ProcessCore {
     fn commit_own(&mut self, g: GuessId, cause: ResolutionCause) {
         if let Some(o) = self.own.get_mut(&g) {
             o.state = OwnGuessState::Committed;
+            self.pending_own.remove(&g);
+            self.awaiting_own.remove(&g);
             let left = o.left_thread;
             let site = o.site;
             let forked_tick = o.forked_tick;
@@ -218,30 +228,25 @@ impl ProcessCore {
         self.remove_committed_guess(g);
     }
 
-    /// Remove a committed guess from history/CDG/guards/rollbacks.
+    /// Remove a committed guess from history/CDG/guards/rollbacks. Only
+    /// the threads that hold it are visited, through the holder index.
     fn remove_committed_guess(&mut self, g: GuessId) {
         self.history.record_commit(g);
         self.cdg.remove(g);
         self.purge_interned(g);
-        for t in self.threads.values_mut() {
-            t.guard.remove(g);
-            t.rollbacks.remove(&g);
-        }
+        self.forget_guess(g);
     }
 
     /// Commit every own guess awaiting resolution whose guard has emptied;
-    /// repeat until a fixpoint (a commit may empty the next guard).
+    /// repeat until a fixpoint (a commit may empty the next guard). Guesses
+    /// are taken in guess order, as the COMMIT broadcasts must be.
     fn cascade_commits(&mut self) -> Vec<GuessId> {
         let mut committed = Vec::new();
         loop {
-            let next: Option<GuessId> = self.own.values().find_map(|o| {
-                if o.state == OwnGuessState::AwaitingResolution
-                    && self.threads[&o.left_thread].guard.is_empty()
-                {
-                    Some(o.id)
-                } else {
-                    None
-                }
+            let next = self.awaiting_own.iter().copied().find(|g| {
+                self.threads
+                    .get(&self.own[g].left_thread)
+                    .is_some_and(|t| t.guard.is_empty())
             });
             match next {
                 Some(g) => {
@@ -270,7 +275,7 @@ impl ProcessCore {
         // Idempotence: if we already know it aborted and nothing local
         // depends on it, there is nothing to do.
         let root_known = self.history.is_aborted(root);
-        let root_relevant = self.threads.values().any(|t| t.guard.contains(root))
+        let root_relevant = !self.holders_of(root).is_empty()
             || self.own.contains_key(&root)
             || self.cdg.contains_node(root);
         if root_known && !root_relevant {
@@ -300,40 +305,39 @@ impl ProcessCore {
                 self.history.record_abort(*d);
             }
             // Implicit aborts (same process, same incarnation, later index)
-            // apply to any guess currently appearing in a guard.
-            let mut implied: BTreeSet<GuessId> = BTreeSet::new();
-            for t in self.threads.values() {
-                for g in t.guard.iter() {
-                    if !doomed.contains(&g) && self.history.is_aborted(g) {
-                        implied.insert(g);
-                    }
-                }
-            }
-            doomed.extend(implied.iter().copied());
+            // apply to any guess currently appearing in a guard: exactly
+            // the keys of the holder index.
+            let implied: Vec<GuessId> = self
+                .holders
+                .keys()
+                .copied()
+                .filter(|g| !doomed.contains(g) && self.history.is_aborted(*g))
+                .collect();
+            doomed.extend(implied);
 
             // Compute per-thread rollback targets: the earliest rollback
             // point among doomed guesses in that thread's guard (§4.2.7).
             let mut new_targets: BTreeMap<ForkIndex, StateIndex> = BTreeMap::new();
-            for t in self.threads.values() {
-                let mut min_target: Option<StateIndex> = None;
-                for d in &doomed {
-                    if t.guard.contains(*d) {
-                        if let Some(&rb) = t.rollbacks.get(d) {
-                            min_target = Some(min_target.map_or(rb, |cur| cur.min(rb)));
-                        }
-                    }
-                }
-                if let Some(tgt) = min_target {
-                    new_targets.insert(t.index, tgt);
+            let mut visits = 0;
+            for d in &doomed {
+                let holders = self.holders_of(*d);
+                visits += holders.len();
+                for t in holders {
+                    let rb = self.threads[t].rollbacks[d];
+                    new_targets
+                        .entry(*t)
+                        .and_modify(|cur| *cur = (*cur).min(rb))
+                        .or_insert(rb);
                 }
             }
+            self.count_visits(visits);
 
             // A fork is undone if its creating thread is discarded or rolls
             // back to (or before) the fork point; the guess then joins the
             // doomed set.
             let mut newly_doomed: Vec<GuessId> = Vec::new();
-            for o in self.own.values() {
-                if doomed.contains(&o.id) || o.state != OwnGuessState::Pending {
+            for o in self.pending_own.iter().map(|g| &self.own[g]) {
+                if doomed.contains(&o.id) {
                     continue;
                 }
                 let fork_undone = match new_targets.get(&o.left_thread) {
@@ -413,6 +417,8 @@ impl ProcessCore {
                     // Fork undone entirely; forget the record (replay may
                     // re-fork under the new incarnation).
                     self.own.remove(d);
+                    self.pending_own.remove(d);
+                    self.awaiting_own.remove(d);
                 } else {
                     // Fork stands but its guess is dead. If S1 has already
                     // finished and the left thread is not being rolled
@@ -420,15 +426,19 @@ impl ProcessCore {
                     // the engine learns of the abort at join time
                     // (JoinDecision::AlreadyAborted) or during S1 replay.
                     let left_untouched = !targets.contains_key(&o.left_thread);
-                    if left_untouched
-                        && self.threads[&o.left_thread].phase == ThreadPhase::AwaitingResolution
-                    {
+                    let left_awaiting = self
+                        .threads
+                        .get(&o.left_thread)
+                        .is_some_and(|t| t.phase == ThreadPhase::AwaitingResolution);
+                    if left_untouched && left_awaiting {
                         effects.rerun_sequential.push(o.id);
                         self.thread_mut(o.left_thread).phase = ThreadPhase::Running;
                     }
                     if let Some(om) = self.own.get_mut(d) {
                         om.state = OwnGuessState::Aborted;
                     }
+                    self.pending_own.remove(d);
+                    self.awaiting_own.remove(d);
                 }
             }
         }
@@ -441,9 +451,9 @@ impl ProcessCore {
                 // Never reset below a still-live thread index.
                 self.threads
                     .keys()
+                    .rev()
                     .copied()
-                    .filter(|t| !effects.discard_threads.contains(t))
-                    .max()
+                    .find(|t| !effects.discard_threads.contains(t))
                     .unwrap_or(0),
             );
         }
@@ -453,27 +463,34 @@ impl ProcessCore {
             self.cdg.remove(*d);
             self.purge_interned(*d);
         }
-        for tid in &effects.discard_threads {
-            self.threads.remove(tid);
+        for &tid in &effects.discard_threads {
+            self.discard_thread_meta(tid);
         }
-        let rollbacks = effects.rollback_threads.clone();
-        for (tid, slot) in rollbacks {
+        for &(tid, slot) in &effects.rollback_threads {
             self.restore_thread_meta(tid, slot);
         }
         // Drop any remaining guard entries for doomed guesses (threads that
         // had the guess but whose rollback target was superseded by an even
         // earlier one are already restored; surviving threads should not
         // retain doomed entries).
-        for t in self.threads.values_mut() {
-            for d in &doomed {
-                t.guard.remove(*d);
-                t.rollbacks.remove(d);
-            }
+        for d in &doomed {
+            self.forget_guess(*d);
         }
 
         effects.discard_threads.sort_unstable();
         effects.discard_threads.dedup();
         effects
+    }
+
+    /// Drop a discarded thread's metadata and its holder-index entries.
+    fn discard_thread_meta(&mut self, tid: ForkIndex) {
+        let Some(t) = self.threads.remove(&tid) else {
+            return;
+        };
+        self.count_visits(1);
+        for g in t.guard.iter() {
+            self.release(g, tid);
+        }
     }
 
     /// Restore a thread's protocol metadata to checkpoint `slot` (the state
@@ -486,16 +503,9 @@ impl ProcessCore {
             Some(t) => t,
             None => return,
         };
+        self.count_visits(1);
         debug_assert!(slot >= 1, "slot 0 restores are thread discards");
-        t.guard = t.snapshots[slot as usize].guard.clone();
-        // Undo the rollback-map deltas of every truncated interval. Entries
-        // removed since the checkpoint were resolution-driven and stay
-        // removed — the history filter below re-applies those removals.
-        for snap in &t.snapshots[slot as usize..] {
-            for g in &snap.added {
-                t.rollbacks.remove(g);
-            }
-        }
+        let before = std::mem::replace(&mut t.guard, t.snapshots[slot as usize].guard.clone());
         t.snapshots.truncate(slot as usize);
         t.interval = slot - 1;
         t.phase = ThreadPhase::Running;
@@ -503,13 +513,17 @@ impl ProcessCore {
         // resolved; they are no longer guard members. Aborted ones cannot
         // remain either (the abort that doomed them pointed at an even
         // earlier rollback, or this very restore).
-        let resolved = t
-            .guard
+        t.guard
             .retain(|g| !self.history.is_committed(g) && !self.history.is_aborted(g));
-        for g in resolved {
-            t.rollbacks.remove(&g);
+        // Members only leave a guard by resolving, so the restored guard is
+        // a subset of the one it replaces, and each surviving member kept
+        // the rollback point it had at the checkpoint.
+        t.rollbacks.retain_members(&t.guard);
+        for g in before.iter().filter(|g| !t.guard.contains(*g)) {
+            self.release(g, tid);
         }
         debug_assert_eq!(t.snapshots.len() as u32, t.interval + 1);
+        debug_assert!(t.rollbacks.keys().eq(t.guard.iter()));
         self.threads.insert(tid, t);
     }
 }
@@ -714,6 +728,51 @@ mod tests {
         assert!(s.on_precedence(g(8, 1), &fresh).is_empty());
         assert_eq!(s.cdg.node_count(), before);
         assert_eq!(s.cdg.edge_count(), 4);
+    }
+
+    #[test]
+    fn precedence_skips_members_known_committed() {
+        // After COMMIT(h), a PRECEDENCE(g, {h, ...}) with g a node must not
+        // bring h back as a node: `on_commit(g)` would commit it again.
+        let mut s = server(3);
+        let (h, a, g5) = (g(0, 1), g(1, 1), g(5, 1));
+        s.deliver(0, &env(3, Guard::from_iter([h, a])));
+        s.on_commit(h);
+        assert!(!s.cdg.contains_node(h));
+        s.cdg.add_node(g5);
+        let guard = Guard::from_iter([h, a, g(2, 1)]);
+        assert!(s.on_precedence(g5, &guard).is_empty());
+        assert!(!s.cdg.contains_node(h));
+        assert!(s.cdg.has_edge(a, g5));
+        assert!(s.cdg.has_edge(g(2, 1), g5));
+        assert_eq!(s.cdg.edge_count(), 2);
+        assert!(s.cdg.predecessors(g5).iter().all(|p| *p != h));
+    }
+
+    #[test]
+    fn commit_visits_only_holders() {
+        // Thread 0 holds y1; forks leave threads 1..=3 holding it too.
+        // Finished threads with empty guards are never visited.
+        let mut c = client();
+        for _ in 0..5 {
+            let r = c.fork(c.max_thread, 1);
+            assert!(matches!(
+                c.join_left_done(r.guess, true),
+                JoinDecision::Commit { .. }
+            ));
+        }
+        let t = c.max_thread;
+        c.deliver(t, &env(0, Guard::single(g(1, 1))));
+        let r1 = c.fork(t, 1);
+        assert_eq!(c.holders_of(g(1, 1)), &[t, r1.right_thread]);
+        let before = c.thread_visits();
+        c.on_commit(g(1, 1));
+        assert_eq!(c.thread_visits() - before, 2);
+        assert!(c.holders_of(g(1, 1)).is_empty());
+        assert!(!c.thread(t).guard.contains(g(1, 1)));
+        assert!(!c.thread(t).rollbacks.contains_key(&g(1, 1)));
+        // The fork's guess is still held by its right thread alone.
+        assert_eq!(c.holders_of(r1.guess), &[r1.right_thread]);
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Property-based tests on the protocol core's data structures: guard-set
 //! algebra, compaction round trips, CDG cycle detection against a naive
-//! oracle and against a reference graph model, and incarnation-table
-//! consistency.
+//! oracle and against a reference graph model, incarnation-table
+//! consistency, and the holder index and in-place guard updates of commit
+//! and abort processing against a scan of every thread.
 
 use opcsp_core::{
-    Cdg, CompactGuard, EdgeOutcome, Guard, GuessId, History, Incarnation, IncarnationTable,
-    ProcessId,
+    AbortEffects, Cdg, CompactGuard, CoreConfig, DataKind, EdgeOutcome, Envelope, ForkIndex, Guard,
+    GuessId, History, Incarnation, IncarnationTable, JoinDecision, MsgId, OwnGuessState,
+    ProcessCore, ProcessId, StateIndex, ThreadPhase, Value,
 };
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 fn arb_guess() -> impl Strategy<Value = GuessId> {
     (0u32..4, 0u32..3, 0u32..12).prop_map(|(p, i, n)| GuessId {
@@ -156,6 +158,53 @@ proptest! {
             // The pre-mutation alias still reads its old contents.
             let alias_now: Vec<GuessId> = alias.iter().collect();
             prop_assert_eq!(alias_now, alias_model, "mutation leaked into alias");
+        }
+    }
+
+    /// The same model check when aliases are taken only now and then, so
+    /// most mutations hit storage the guard owns alone: removals shift in
+    /// place and inserts refill the freed slots. An alias taken before a
+    /// mutation still keeps its contents.
+    #[test]
+    fn unshared_guard_matches_btreeset_model(
+        ops in proptest::collection::vec(
+            (0u32..4, arb_guess(), arb_guard(), 0u8..4),
+            1..60,
+        )
+    ) {
+        let mut guard: Guard = (0..10).map(|i| GuessId::first(ProcessId(i % 4), i)).collect();
+        let mut model: BTreeSet<GuessId> = guard.iter().collect();
+        let mut alias: Option<(Guard, Vec<GuessId>)> = None;
+        for (op, g, other, take_alias) in ops {
+            if take_alias == 0 {
+                alias = Some((guard.clone(), model.iter().copied().collect()));
+            }
+            match op {
+                0 => {
+                    guard.insert(g);
+                    model.insert(g);
+                }
+                1 | 2 => {
+                    // Remove a present member most of the time.
+                    let victim = model.iter().nth(g.index as usize % model.len().max(1)).copied();
+                    let g = if op == 1 { victim.unwrap_or(g) } else { g };
+                    guard.remove(g);
+                    model.remove(&g);
+                }
+                _ => {
+                    guard.union_with(&other);
+                    model.extend(other.iter());
+                }
+            }
+            let got: Vec<GuessId> = guard.iter().collect();
+            let want: Vec<GuessId> = model.iter().copied().collect();
+            prop_assert_eq!(&got, &want, "contents/order diverged from model");
+            prop_assert_eq!(guard.len(), model.len());
+            let model_guard: Guard = model.iter().copied().collect();
+            prop_assert_eq!(&guard, &model_guard);
+            if let Some((a, a_model)) = &alias {
+                prop_assert_eq!(&a.iter().collect::<Vec<_>>(), a_model, "mutation leaked into alias");
+            }
         }
     }
 
@@ -478,6 +527,339 @@ proptest! {
         let e = idx.saturating_sub(earlier);
         if e < idx && e > 0 {
             prop_assert!(!h.is_aborted(GuessId::first(ProcessId(0), e)));
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Commit and abort processing against a scan of every thread
+// ----------------------------------------------------------------------
+
+/// One thread's protocol metadata, read through the public API.
+#[derive(Debug, Clone, PartialEq)]
+struct ThreadView {
+    guard: Vec<GuessId>,
+    rollbacks: Vec<(GuessId, StateIndex)>,
+    snapshots: Vec<Vec<GuessId>>,
+    interval: u32,
+}
+
+fn view(core: &ProcessCore) -> BTreeMap<ForkIndex, ThreadView> {
+    core.threads
+        .iter()
+        .map(|(&tid, t)| {
+            let v = ThreadView {
+                guard: t.guard.iter().collect(),
+                rollbacks: t.rollbacks.iter().collect(),
+                snapshots: t
+                    .snapshots
+                    .iter()
+                    .map(|s| s.guard.iter().collect())
+                    .collect(),
+                interval: t.interval,
+            };
+            (tid, v)
+        })
+        .collect()
+}
+
+/// Rollback points are keyed by exactly the guard's members, the holder
+/// index is exactly the (guess, thread) pairs a scan of every thread's
+/// guard finds, with no duplicates, and the unresolved own guesses counted
+/// from their indexes match a scan of every own record.
+fn check_index(core: &ProcessCore) {
+    let mut scanned = BTreeSet::new();
+    for (&tid, t) in &core.threads {
+        prop_assert!(
+            t.rollbacks.keys().eq(t.guard.iter()),
+            "thread {}: rollbacks {:?} vs guard {}",
+            tid,
+            t.rollbacks,
+            t.guard
+        );
+        for g in t.guard.iter() {
+            scanned.insert((g, tid));
+        }
+    }
+    let entries: Vec<(GuessId, ForkIndex)> = core.holder_entries().collect();
+    let indexed: BTreeSet<(GuessId, ForkIndex)> = entries.iter().copied().collect();
+    prop_assert_eq!(indexed.len(), entries.len(), "duplicate holder entries");
+    prop_assert_eq!(indexed, scanned);
+    let unresolved = core
+        .own
+        .values()
+        .filter(|o| {
+            matches!(
+                o.state,
+                OwnGuessState::Pending | OwnGuessState::AwaitingResolution
+            )
+        })
+        .count();
+    prop_assert_eq!(core.pending_own_guesses(), unresolved);
+}
+
+/// After a COMMIT landing: every thread survives with its interval, and
+/// its guard and rollback points lose exactly the guesses now committed.
+fn check_commit(before: &BTreeMap<ForkIndex, ThreadView>, core: &ProcessCore) {
+    prop_assert_eq!(
+        core.threads.keys().copied().collect::<Vec<_>>(),
+        before.keys().copied().collect::<Vec<_>>()
+    );
+    let live = |g: &GuessId| !core.history.is_committed(*g);
+    for (tid, b) in before {
+        let t = &core.threads[tid];
+        let guard: Vec<GuessId> = b.guard.iter().copied().filter(live).collect();
+        let rollbacks: Vec<_> = b.rollbacks.iter().copied().filter(|e| live(&e.0)).collect();
+        prop_assert_eq!(t.guard.iter().collect::<Vec<_>>(), guard, "thread {}", tid);
+        prop_assert_eq!(
+            t.rollbacks.iter().collect::<Vec<_>>(),
+            rollbacks,
+            "thread {}",
+            tid
+        );
+        prop_assert_eq!(t.interval, b.interval);
+    }
+}
+
+/// After one abort cascade rooted at a relevant guess: compute, by a scan
+/// of every thread as it was before, each thread's rollback target (the
+/// earliest rollback point of a now-aborted guess in its guard, §4.2.7)
+/// and check the effects and the restored metadata against it.
+fn check_abort(
+    before: &BTreeMap<ForkIndex, ThreadView>,
+    effects: &AbortEffects,
+    core: &ProcessCore,
+) {
+    let h = &core.history;
+    let mut expected_rollbacks = BTreeSet::new();
+    for (&tid, b) in before {
+        let target = b
+            .rollbacks
+            .iter()
+            .filter(|(g, _)| h.is_aborted(*g))
+            .map(|&(_, at)| at)
+            .min();
+        match target {
+            Some(at) if at.thread < tid || at.interval == 0 => {
+                prop_assert!(effects.discard_threads.contains(&tid), "discard {}", tid);
+                prop_assert!(!core.threads.contains_key(&tid));
+            }
+            Some(at) => {
+                expected_rollbacks.insert((tid, at.interval));
+                let t = &core.threads[&tid];
+                let guard: Vec<GuessId> = b.snapshots[at.interval as usize]
+                    .iter()
+                    .copied()
+                    .filter(|g| !h.is_committed(*g) && !h.is_aborted(*g))
+                    .collect();
+                let rollbacks: Vec<_> = b
+                    .rollbacks
+                    .iter()
+                    .copied()
+                    .filter(|e| guard.contains(&e.0))
+                    .collect();
+                prop_assert_eq!(t.interval, at.interval - 1, "thread {}", tid);
+                prop_assert_eq!(t.guard.iter().collect::<Vec<_>>(), guard, "thread {}", tid);
+                prop_assert_eq!(t.rollbacks.iter().collect::<Vec<_>>(), rollbacks);
+                prop_assert_eq!(t.snapshots.len() as u32, at.interval);
+            }
+            None if effects.discard_threads.contains(&tid) => {
+                prop_assert!(!core.threads.contains_key(&tid));
+            }
+            None => {
+                let t = &core.threads[&tid];
+                prop_assert_eq!(t.guard.iter().collect::<Vec<_>>(), b.guard.clone());
+                prop_assert_eq!(t.rollbacks.iter().collect::<Vec<_>>(), b.rollbacks.clone());
+                prop_assert_eq!(t.interval, b.interval);
+            }
+        }
+    }
+    let got: BTreeSet<(ForkIndex, u32)> = effects.rollback_threads.iter().copied().collect();
+    prop_assert_eq!(got, expected_rollbacks);
+}
+
+#[derive(Debug, Clone)]
+enum Step {
+    Fork(usize),
+    /// Deliver to a running thread a tag naming foreign guesses (picks
+    /// below 8) and this process's own guesses (picks from 8).
+    Deliver(usize, Vec<usize>),
+    Join(usize, bool),
+    Commit(usize),
+    /// Abort a foreign guess (picks below 8) or an own one.
+    Abort(usize),
+    Precedence(usize, Vec<usize>),
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    (
+        0u8..15,
+        0usize..12,
+        any::<bool>(),
+        proptest::collection::vec(0usize..12, 1..4),
+    )
+        .prop_map(|(kind, i, ok, picks)| match kind {
+            0..=2 => Step::Fork(i),
+            3..=6 => Step::Deliver(i, picks),
+            7..=8 => Step::Join(i, ok),
+            9..=11 => Step::Commit(i % 8),
+            12..=13 => Step::Abort(i),
+            _ => Step::Precedence(i % 8, picks),
+        })
+}
+
+/// Foreign guesses: two servers, two incarnations, two indices.
+fn foreign(i: usize) -> GuessId {
+    GuessId::new(
+        ProcessId(1 + (i % 2) as u32),
+        Incarnation(((i / 2) % 2) as u32),
+        1 + (i / 4) as u32,
+    )
+}
+
+fn pick_guess(core: &ProcessCore, i: usize) -> Option<GuessId> {
+    if i < 8 {
+        return Some(foreign(i));
+    }
+    let own: Vec<GuessId> = core.own.keys().copied().collect();
+    (!own.is_empty()).then(|| own[i % own.len()])
+}
+
+/// Does `g` transitively follow an unresolved own guess in the CDG?
+fn own_predecessor(core: &ProcessCore, g: GuessId) -> bool {
+    let mut seen = BTreeSet::from([g]);
+    let mut stack = vec![g];
+    while let Some(n) = stack.pop() {
+        for p in core.cdg.predecessors(n) {
+            if p.process == core.id && !core.history.is_committed(p) {
+                return true;
+            }
+            if seen.insert(p) {
+                stack.push(p);
+            }
+        }
+    }
+    false
+}
+
+fn relevant(core: &ProcessCore, g: GuessId) -> bool {
+    !core.history.is_aborted(g)
+        || !core.holders_of(g).is_empty()
+        || core.own.contains_key(&g)
+        || core.cdg.contains_node(g)
+}
+
+proptest! {
+    /// Random forks, deliveries, joins, COMMITs, ABORTs and PRECEDENCEs at
+    /// one process. After every step the holder index and rollback points
+    /// match a scan of every thread; a COMMIT removes exactly the committed
+    /// guesses everywhere; an ABORT rolls back, restores and discards
+    /// exactly the threads a scan of the pre-abort metadata names.
+    #[test]
+    fn resolution_matches_thread_scan(steps in proptest::collection::vec(arb_step(), 1..40)) {
+        let mut core = ProcessCore::new(ProcessId(0), CoreConfig::default());
+        for step in steps {
+            let before = view(&core);
+            match step {
+                Step::Fork(i) => {
+                    // A left thread forks again only after its join.
+                    let busy: BTreeSet<ForkIndex> = core
+                        .own
+                        .values()
+                        .filter(|o| o.state == OwnGuessState::Pending)
+                        .map(|o| o.left_thread)
+                        .collect();
+                    let ready: Vec<ForkIndex> = core
+                        .live_threads()
+                        .filter(|t| t.phase == ThreadPhase::Running && !busy.contains(&t.index))
+                        .map(|t| t.index)
+                        .collect();
+                    if let Some(&t) = ready.get(i % ready.len().max(1)) {
+                        core.fork(t, 1);
+                    }
+                }
+                Step::Deliver(i, picks) => {
+                    let running: Vec<ForkIndex> = core
+                        .live_threads()
+                        .filter(|t| t.phase == ThreadPhase::Running)
+                        .map(|t| t.index)
+                        .collect();
+                    let Some(&t) = running.get(i % running.len().max(1)) else { continue };
+                    let guard: Guard = picks.iter().filter_map(|&p| pick_guess(&core, p)).collect();
+                    let mut env = Envelope {
+                        id: MsgId(0),
+                        from: ProcessId(1),
+                        from_thread: 0,
+                        to: ProcessId(0),
+                        guard: guard.into(),
+                        table_acks: vec![],
+                        kind: DataKind::Send,
+                        payload: Value::Unit,
+                        label: "M".into(),
+                        link_seq: 0,
+                    };
+                    if core.classify_arrival(&mut env) != opcsp_core::ArrivalVerdict::Ok
+                        || core.guard_depends_on_future(t, env.guard()).is_some()
+                    {
+                        continue;
+                    }
+                    core.deliver(t, &env);
+                }
+                Step::Join(i, ok) => {
+                    let pending: Vec<GuessId> = core
+                        .own
+                        .values()
+                        .filter(|o| {
+                            o.state == OwnGuessState::Pending
+                                && core.threads.get(&o.left_thread).map(|t| t.phase)
+                                    == Some(ThreadPhase::Running)
+                        })
+                        .map(|o| o.id)
+                        .collect();
+                    let Some(&g) = pending.get(i % pending.len().max(1)) else { continue };
+                    match core.join_left_done(g, ok) {
+                        JoinDecision::Abort { effects } if !ok => {
+                            check_abort(&before, &effects, &core)
+                        }
+                        JoinDecision::Commit { .. } => check_commit(&before, &core),
+                        _ => {}
+                    }
+                }
+                Step::Commit(i) => {
+                    // COMMIT(g) implies its CDG predecessors committed; it
+                    // cannot arrive before an own predecessor commits here.
+                    let g = foreign(i);
+                    if core.history.is_aborted(g) || own_predecessor(&core, g) {
+                        continue;
+                    }
+                    core.on_commit(g);
+                    check_commit(&before, &core);
+                    prop_assert!(core.holders_of(g).is_empty());
+                }
+                Step::Abort(i) => {
+                    let Some(g) = pick_guess(&core, i) else { continue };
+                    let was_relevant = relevant(&core, g);
+                    let effects = core.on_abort(g);
+                    if was_relevant {
+                        check_abort(&before, &effects, &core);
+                    } else {
+                        prop_assert!(effects.is_empty());
+                        prop_assert_eq!(&view(&core), &before);
+                    }
+                }
+                Step::Precedence(i, picks) => {
+                    // An owner never sends PRECEDENCE(g, guard) with g in
+                    // the guard: it detects that self-cycle at the join.
+                    let g = foreign(i);
+                    let guard: Guard = picks
+                        .iter()
+                        .filter_map(|&p| pick_guess(&core, p))
+                        .filter(|&h| h != g)
+                        .collect();
+                    core.on_precedence(g, &guard);
+                }
+            }
+            check_index(&core);
         }
     }
 }

@@ -4,9 +4,10 @@
 //! processes, and bookkeeping after repeated abort/re-fork rounds.
 
 use opcsp_core::{
-    ArrivalVerdict, CompactGuard, CoreConfig, DataKind, Envelope, Guard, GuardCodec, GuessId,
-    Incarnation, JoinDecision, MsgId, ProcessCore, ProcessId, TableRow, Value, WireGuard,
+    ArrivalVerdict, CompactGuard, Control, CoreConfig, DataKind, Envelope, Guard, GuardCodec,
+    GuessId, Incarnation, JoinDecision, MsgId, ProcessCore, ProcessId, TableRow, Value, WireGuard,
 };
+use std::collections::BTreeSet;
 
 fn env(to: u32, guard: Guard) -> Envelope {
     Envelope {
@@ -225,6 +226,26 @@ fn note_send_builds_dependency_tree_for_targeted_control() {
     assert!(deps.contains(&ProcessId(6)));
     assert!(!deps.contains(&ProcessId(0)));
     assert_eq!(deps.len(), 2);
+}
+
+#[test]
+fn disseminating_a_resolution_drops_its_dependents() {
+    let mut c = ProcessCore::new(ProcessId(0), CoreConfig::default());
+    let r = c.fork(0, 1);
+    let guard = c.guard_for_send(r.right_thread).clone();
+    c.note_send(&guard, ProcessId(5));
+    // PRECEDENCE precedes the resolution: the entry must survive it.
+    let prec = Control::Precedence(r.guess, WireGuard::Full(Guard::empty()));
+    assert_eq!(
+        c.take_control_targets(&prec),
+        BTreeSet::from([ProcessId(5)])
+    );
+    assert_eq!(
+        c.take_control_targets(&Control::Commit(r.guess)),
+        BTreeSet::from([ProcessId(5)])
+    );
+    assert!(c.dependents_of(r.guess).is_empty());
+    assert!(c.take_control_targets(&Control::Abort(r.guess)).is_empty());
 }
 
 #[test]

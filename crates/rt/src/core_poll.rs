@@ -511,7 +511,9 @@ impl ProcessActor {
         }
         self.stats.table_bytes +=
             (env.table_acks.len() * opcsp_core::TableRow::WIRE_BYTES) as u64;
-        self.core.note_send(&tag.full, to);
+        if self.cfg.core.targeted_control {
+            self.core.note_send(&tag.full, to);
+        }
         let th = self.threads.get_mut(&tid).unwrap();
         th.oblog.push(Observable::Sent {
             to,
@@ -557,7 +559,7 @@ impl ProcessActor {
         self.relayed
             .insert((Self::ctrl_kind(&ctrl), ctrl.subject()));
         let targets: Vec<usize> = if self.cfg.core.targeted_control {
-            let mut t = self.core.dependents_of(ctrl.subject());
+            let mut t = self.core.take_control_targets(&ctrl);
             if let Control::Precedence(_, guard) = &ctrl {
                 for p in guard.member_processes() {
                     if p != self.pid {
@@ -589,7 +591,7 @@ impl ProcessActor {
         }
         let targets: Vec<usize> = self
             .core
-            .dependents_of(ctrl.subject())
+            .take_control_targets(ctrl)
             .into_iter()
             .map(|p| p.0 as usize)
             .collect();

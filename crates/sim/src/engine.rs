@@ -886,7 +886,9 @@ impl World {
             guard: tag.full.clone(),
             incarnation,
         });
-        self.procs[pid.0 as usize].core.note_send(&tag.full, to);
+        if self.cfg.core.targeted_control {
+            self.procs[pid.0 as usize].core.note_send(&tag.full, to);
+        }
         let mut at = self.now + d;
         if self.cfg.latency.fifo_links() && self.cfg.fault != FaultInjection::LifoDelivery {
             // FIFO clamp: a data message never overtakes the previous one
@@ -908,8 +910,8 @@ impl World {
             ctrl: ctrl.clone(),
         });
         let targets: Vec<ProcessId> = if self.cfg.core.targeted_control {
-            let p = &self.procs[from.0 as usize];
-            let mut t = p.core.dependents_of(ctrl.subject());
+            let p = &mut self.procs[from.0 as usize];
+            let mut t = p.core.take_control_targets(&ctrl);
             // PRECEDENCE must also reach the owners of the guard members
             // (they hold the CDG edges that close cycles).
             if let Control::Precedence(_, guard) = &ctrl {
@@ -971,7 +973,7 @@ impl World {
         }
         let targets: Vec<ProcessId> = self.procs[pid.0 as usize]
             .core
-            .dependents_of(ctrl.subject())
+            .take_control_targets(ctrl)
             .into_iter()
             .filter(|t| *t != from)
             .collect();
